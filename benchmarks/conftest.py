@@ -8,8 +8,9 @@ restrict the run (e.g. ``REPRO_BENCH_ROWS=9,15,44`` for a smoke pass).
 Timings follow the repo's re-baselining convention (see
 ``repro.bench.core_bench``): each row reports the median over
 ``REPRO_BENCH_REPEATS`` synthesis runs (default 3), so a single OS
-scheduling glitch cannot land in the committed ``benchmarks/out/``
-artefacts.
+scheduling glitch does not decide a row's timing.  The suite writes
+nothing under ``benchmarks/out/``: the committed artefacts there are
+refreshed only by ``repro bench --csv ... --json ...``.
 """
 
 import os

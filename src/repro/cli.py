@@ -279,6 +279,12 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="timing runs per row; the median-total run's "
                             "prove/recon/total is reported (default 3, "
                             "the re-baselining convention)")
+    bench.add_argument("--csv", default=None, metavar="PATH",
+                       help="also write the rows as CSV (how the committed "
+                            "benchmarks/out/table2.csv is refreshed)")
+    bench.add_argument("--json", default=None, metavar="PATH",
+                       help="also write the rows as JSON (how the committed "
+                            "benchmarks/out/table2.json is refreshed)")
 
     loadgen = commands.add_parser(
         "loadgen",
@@ -1195,6 +1201,7 @@ def _cmd_warm(args: argparse.Namespace) -> int:
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
+    from repro.bench.export import write_csv, write_json
     from repro.bench.reporting import format_table, summarize
     from repro.bench.runner import run_suite
 
@@ -1209,6 +1216,12 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     if set(variants) == {"no_weights", "no_corpus", "full"}:
         print()
         print(summarize(results).as_text())
+    if args.csv:
+        write_csv(results, args.csv)
+        print(f"wrote {args.csv}")
+    if args.json:
+        write_json(results, args.json)
+        print(f"wrote {args.json}")
     return 0
 
 

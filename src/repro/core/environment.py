@@ -121,6 +121,14 @@ def declaration(name: str, tpe: Type, kind: DeclKind = DeclKind.LOCAL,
     return Declaration(name, tpe, kind, frequency, render)
 
 
+def _adopt_memo(memos: dict, policy, kept: dict) -> None:
+    """Install *kept* as the *policy* memo in *memos* (merging if present)."""
+    if kept:
+        current = memos.setdefault(policy, kept)
+        if current is not kept:
+            current.update(kept)
+
+
 class Environment:
     """An immutable set of declarations with a ``Select`` index.
 
@@ -267,15 +275,16 @@ class Environment:
     def candidate_list_memo(self, policy) -> dict:
         """Cross-query memo for reconstruction's root-scope candidate lists.
 
-        Keyed by ``(hole simple-type id, pattern slice tuple)`` — the exact
-        inputs a candidate list is a pure function of in the empty binder
-        scope (plus this environment and *policy*, which select the memo).
-        Values are ``(names_needed, candidates)``: a hit must still draw
+        Keyed by ``(hole simple-type id, member types of the pattern
+        slice)`` — the exact inputs a candidate list is a pure function of
+        in the empty binder scope (plus this environment and *policy*,
+        which select the memo).  The key holds no environment, so entries
+        whose member types a delta did not touch carry over to the edited
+        environment (see :meth:`adopt_prepared_state`).  Values are
+        ``(names_needed, candidates)``: a hit must still draw
         ``names_needed`` fresh binder names so the reconstructor's name
         supply stays in lockstep with a cold run (binder names drawn while
         building a list are consumed even though they never outlive it).
-        Pattern slices compare pointer-fast on a warm scene arena because
-        the environment frozensets inside patterns are shared instances.
         """
         memo = self._recon_memos.get(policy)
         if memo is None:
@@ -323,55 +332,101 @@ class Environment:
             self._arena = None
 
     def adopt_prepared_state(self, donor: "Environment",
-                             dirty_stypes: Iterable[SuccinctType]) -> None:
-        """Inherit *donor*'s warm prover/weight state after a declaration
-        delta (the incremental-scene re-prepare path).
+                             dirty_stypes: Iterable[SuccinctType]
+                             ) -> tuple[int, int]:
+        """Inherit *donor*'s warm prover, weight and reconstruction state
+        after a declaration delta (the incremental-scene re-prepare path).
 
         ``dirty_stypes`` must be the sigma images of every declaration the
-        delta added or removed.  Three pieces of state transfer, each with
-        an exactness argument:
+        delta added or removed.  The argument for every transfer rests on
+        one fact: ``select(t)`` returns the same declaration objects in
+        both environments for every ``t`` outside the dirty set (the delta
+        patches only dirty Select groups, and coercion declarations are
+        the donor's own objects).
 
-        * **Arena.**  The arena is content-addressed (a cache, never a
-          correctness requirement), so the whole object is shared: every
-          STRIP transition and interned environment stays warm.  Our new
-          root is interned with the donor's root as ``parent`` when it is
-          a superset, so only the added members are merged into the MATCH
-          index instead of re-sorting all of sigma(Gamma_o).
-        * **Type-weight memos.**  ``w(t, Gamma_o)`` is the minimum
-          declaration weight over ``select(t)``, and ``select(t)`` only
-          sees declarations whose sigma image *is* ``t`` — so exactly the
-          dirty types can change and everything else transfers verbatim.
+        * **Arena and signature.**  The arena is content-addressed (a
+          cache, never a correctness requirement), so the whole object is
+          shared: every STRIP transition and interned environment stays
+          warm.  Our new root is interned with the donor's root as
+          ``parent`` when it is a superset, so only the added members are
+          merged into the MATCH index.  Our sigma(Gamma_o) is then
+          replaced by the arena's interned frozenset: patterns carry that
+          object, so reconstruction's pattern lookups hit by identity
+          instead of comparing ~10k-member sets.  Most edits keep the
+          signature, and then it is the donor's very object.
+        * **Type-weight memos.**  ``w(t, Gamma_o)`` is a minimum over
+          ``select(t)``, so exactly the dirty types can change.
         * **Declaration-weight memos.**  Keyed by ``id(decl)`` and pure in
           (kind, frequency, policy); entries transfer for declaration
           objects this environment still holds.  Donor-only ids are
           dropped (their objects may be freed and their ids reused).
+        * **Candidate lists.**  A root-scope list is keyed by the hole type
+          and the member types of its pattern slice, and built from
+          ``select`` of those types plus binder probes the hole type fixes.
+          An entry none of whose member types is dirty therefore lists the
+          same declaration objects with the same weights here; a removed
+          declaration's type is dirty, so no kept list can resurrect it.
+          The fresh-name count an entry records is a function of the hole
+          type alone, and binder names are drawn per query from that
+          query's own supply, so emitted terms stay byte-identical.
+        * **Pattern-environment unions.**  ``sigma(Gamma_o) | binder
+          sigmas``: transferred only when the signature is unchanged.
 
-        The reconstruction memos (candidate lists, pattern-environment
-        unions) are deliberately *not* transplanted: candidate lists embed
-        declaration references, and a list built before a removal could
-        resurrect a deleted declaration — they re-warm per query instead.
+        Donor memos are snapshotted with ``dict.copy()`` before filtering:
+        executor threads may be completing on the donor while the delta
+        runs, and a copy is one C-level step where a Python-level
+        iteration could see the dict change size.  Returns the number of
+        reconstruction-memo entries ``(kept, dropped)``.
         """
         dirty = frozenset(dirty_stypes)
         arena = donor._arena
+        same_signature = False
         if arena is not None and not arena.oversized():
             old_root = arena.intern(donor.succinct_environment())
             new_root = self.succinct_environment()
-            if new_root >= arena.members(old_root):
-                arena.intern(new_root, parent=old_root)
-            else:
-                arena.intern(new_root)
+            parent = old_root if new_root >= arena.members(old_root) else -1
+            new_id = arena.intern(new_root, parent=parent)
+            self._succinct_env = arena.members(new_id)
             self._arena = arena
-        live_ids = {id(decl) for decl in self.declarations()}
-        for policy, memo in donor._weight_memos.items():
-            kept = {stype: weight for stype, weight in memo.items()
-                    if stype not in dirty}
-            if kept:
-                self._weight_memos.setdefault(policy, {}).update(kept)
-        for policy, memo in donor._decl_weight_memos.items():
-            kept = {decl_id: weight for decl_id, weight in memo.items()
-                    if decl_id in live_ids}
-            if kept:
-                self._decl_weight_memos.setdefault(policy, {}).update(kept)
+            same_signature = new_id == old_root
+        # Every member type of a pattern slice returns the slice's result
+        # name, so a key can only hold a dirty type when its first member
+        # shares a dirty result; that string test spares the scan a
+        # Python-level ``SuccinctType.__hash__`` call per key.
+        dirty_results = frozenset(stype.result for stype in dirty)
+        live_ids: set = set()
+        scope: Optional[Environment] = self
+        while scope is not None:
+            live_ids.update(map(id, scope._declarations))
+            scope = scope._parent
+        for policy, memo in donor._weight_memos.copy().items():
+            kept = memo.copy()
+            for stype in dirty:
+                kept.pop(stype, None)
+            _adopt_memo(self._weight_memos, policy, kept)
+        for policy, memo in donor._decl_weight_memos.copy().items():
+            kept = memo.copy()
+            for decl_id in kept.keys() - live_ids:
+                del kept[decl_id]
+            _adopt_memo(self._decl_weight_memos, policy, kept)
+        carried = dropped = 0
+        for policy, memo in donor._recon_memos.copy().items():
+            kept = memo.copy()
+            stale = [key for key in kept
+                     if key[1] and key[1][0].result in dirty_results
+                     and not dirty.isdisjoint(key[1])]
+            for key in stale:
+                del kept[key]
+            carried += len(kept)
+            dropped += len(stale)
+            _adopt_memo(self._recon_memos, policy, kept)
+        unions = donor._pattern_env_memo.copy()
+        if same_signature:
+            self._pattern_env_memo.update(unions)
+            carried += len(unions)
+        else:
+            dropped += len(unions)
+        return carried, dropped
 
     def fingerprint(self) -> str:
         """A stable content hash of the environment (for result caching).

@@ -601,9 +601,10 @@ class Reconstructor:
         Sorted by added weight (stable on discovery order), and cached at
         two levels: per scope for this query, and — for the empty binder
         scope — across queries on the shared environment memo, keyed by
-        the exact pattern slice the list is derived from.  A cross-query
-        hit still consumes the fresh names a cold build would have drawn,
-        so the supply stays in lockstep with the reference walk.
+        the member types of the pattern slice the list is derived from.
+        A cross-query hit still consumes the fresh names a cold build
+        would have drawn, so the supply stays in lockstep with the
+        reference walk.
         """
         cached = scope.candidates.get(hole_type_id)
         if cached is not None:
@@ -623,7 +624,8 @@ class Reconstructor:
 
         shared_key = None
         if not scope.has_binders:
-            shared_key = (hole_type_id, pattern_slice)
+            shared_key = (hole_type_id, tuple(pattern.succinct_type()
+                                              for pattern in pattern_slice))
             entry = self._shared_candidates.get(shared_key)
             if entry is not None:
                 names_needed, result_tuple = entry

@@ -19,10 +19,27 @@ where it must be:
 * the donor scene's :class:`~repro.core.space.EnvArena` is shared and
   the new root environment is interned with the old root as parent, so
   the MATCH index merges only the delta instead of re-sorting thousands
-  of members (see
-  :meth:`~repro.core.environment.Environment.adopt_prepared_state`);
-* per-policy weight memos transfer minus exactly the sigma images of
-  the touched declarations.
+  of members;
+* the edited scene's succinct signature *is* the arena's interned
+  frozenset — for the common edit that keeps the signature (a local of
+  a type the scene already has), the donor's very object — so the
+  patterns a query generates match reconstruction's lookups by
+  identity;
+* the warm memos carry over minus exactly what the edit can change.
+  The delta patches only the Select groups of the *dirty* types (the
+  sigma images of the touched declarations) and shares every other
+  declaration object, coercions included, so ``select(t)`` is unchanged
+  for every other ``t``.  Type weights, declaration weights and
+  root-scope candidate lists are pure in ``select`` of the types they
+  name, so every entry that names no dirty type is still exact;
+  pattern-environment unions depend on the whole signature and carry
+  over only when it is unchanged.  Binder names are never part of what
+  carries: a candidate-list entry records how many fresh names a build
+  draws, and each query draws them from its own supply.
+
+See :meth:`~repro.core.environment.Environment.adopt_prepared_state` for
+the per-memo argument; :class:`DeltaOutcome` counts the
+reconstruction-memo entries kept and dropped.
 """
 
 from __future__ import annotations
@@ -119,6 +136,12 @@ class DeltaOutcome:
     reused: bool
     #: Succinct types whose weight memos the delta invalidated.
     dirty_types: int
+    #: Reconstruction-memo entries (candidate lists and
+    #: pattern-environment unions) carried over from the donor scene, and
+    #: those left behind because they touch a dirty type or the old
+    #: signature.  Both 0 on a reused scene.
+    recon_memo_kept: int = 0
+    recon_memo_dropped: int = 0
 
     @property
     def declarations(self) -> int:
@@ -217,7 +240,7 @@ def apply_scene_delta(engine: CompletionEngine, prepared: PreparedScene,
                             dirty_types=len(dirty))
 
     extended = _coerced(new_base, prepared)
-    extended.adopt_prepared_state(prepared.environment, dirty)
+    kept, dropped = extended.adopt_prepared_state(prepared.environment, dirty)
     new_prepared = PreparedScene(
         name=name if name is not None else prepared.name,
         base_environment=new_base,
@@ -230,4 +253,5 @@ def apply_scene_delta(engine: CompletionEngine, prepared: PreparedScene,
     engine.scenes.put(scene_key, new_prepared)
     return DeltaOutcome(prepared=new_prepared, added=tuple(added),
                         removed=tuple(removed), reused=False,
-                        dirty_types=len(dirty))
+                        dirty_types=len(dirty), recon_memo_kept=kept,
+                        recon_memo_dropped=dropped)

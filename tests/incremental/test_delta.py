@@ -177,3 +177,109 @@ class TestApplySceneDelta:
         baseline = fresh_engine.complete(fresh, fresh.goal, n=6)
         assert ([(s.rank, s.code, s.weight) for s in served.snippets]
                 == [(s.rank, s.code, s.weight) for s in baseline.snippets])
+
+
+class TestWarmDonor:
+    """What a delta carries over from a donor scene that has completed."""
+
+    def _warm(self):
+        engine, prepared = _prepared()
+        engine.complete(prepared, prepared.goal, n=3)
+        return engine, prepared
+
+    def test_kept_signature_is_the_arena_object(self):
+        engine, prepared = self._warm()
+        donor_signature = prepared.environment.succinct_environment()
+        outcome = apply_scene_delta(engine, prepared, [DeltaOp.add(EXTRA_LINE)])
+        edited = outcome.prepared.environment
+        # String was already in the signature: same set, same object.
+        assert edited.succinct_environment() is donor_signature
+        arena = edited.succinct_arena()
+        root = arena.intern(edited.succinct_environment())
+        assert arena.members(root) is edited.succinct_environment()
+
+    def test_changed_signature_is_the_arena_object(self):
+        engine, prepared = self._warm()
+        donor_signature = prepared.environment.succinct_environment()
+        outcome = apply_scene_delta(engine, prepared,
+                                    [DeltaOp.add(READER_LINE)])
+        edited = outcome.prepared.environment
+        assert edited.succinct_environment() != donor_signature
+        arena = edited.succinct_arena()
+        root = arena.intern(edited.succinct_environment())
+        assert arena.members(root) is edited.succinct_environment()
+
+    def test_outcome_counts_kept_and_dropped_memo_entries(self):
+        engine, prepared = self._warm()
+        memo = prepared.environment.candidate_list_memo(
+            engine.default_policy)
+        dirty = DeltaOp.add(EXTRA_LINE).declaration.succinct_type
+        touching = sum(dirty in key[1] for key in memo)
+        assert touching and touching < len(memo)
+        outcome = apply_scene_delta(engine, prepared, [DeltaOp.add(EXTRA_LINE)])
+        assert outcome.recon_memo_dropped == touching
+        assert outcome.recon_memo_kept == len(memo) - touching
+        carried = outcome.prepared.environment.candidate_list_memo(
+            engine.default_policy)
+        assert set(carried) == {key for key in memo if dirty not in key[1]}
+
+    def test_requery_builds_lists_only_for_dirty_keys(self):
+        engine, prepared = self._warm()
+        dirty = DeltaOp.add(EXTRA_LINE).declaration.succinct_type
+        outcome = apply_scene_delta(engine, prepared, [DeltaOp.add(EXTRA_LINE)])
+        memo = outcome.prepared.environment.candidate_list_memo(
+            engine.default_policy)
+        carried = dict(memo)
+        served = engine.complete(outcome.prepared, outcome.prepared.goal, n=3)
+        assert not served.cache_hit
+        built = set(memo) - set(carried)
+        assert built, "the re-query should rebuild the dirty lists"
+        assert all(dirty in key[1] for key in built)
+        # Carried entries are reused as they are, never rebuilt.
+        assert all(memo[key] is entry for key, entry in carried.items())
+
+    def test_reused_scene_reports_no_memo_transfer(self):
+        engine, prepared = self._warm()
+        outcome = apply_scene_delta(engine, prepared, [
+            DeltaOp.add(EXTRA_LINE), DeltaOp.remove("label")])
+        assert outcome.reused
+        assert (outcome.recon_memo_kept, outcome.recon_memo_dropped) == (0, 0)
+
+
+def test_deltas_survive_concurrent_completions():
+    """A completion thread fills the donor's memos while the delta copies
+    them (the ``/v1/edit-scene`` race): 1,000 deltas, no error.  A short
+    switch interval makes thread switches inside the copy likely."""
+    import sys
+    import threading
+
+    engine, prepared = _prepared()
+    current = [prepared]
+    stop = threading.Event()
+    errors: list = []
+
+    def complete_current():
+        while not stop.is_set():
+            try:
+                scene = current[0]
+                engine.complete(scene, scene.goal, n=3)
+            except Exception as exc:             # pragma: no cover
+                errors.append(exc)
+                return
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    worker = threading.Thread(target=complete_current, daemon=True)
+    worker.start()
+    try:
+        for index in range(1000):
+            ops = [DeltaOp.add(f"local churn_{index} : String")]
+            if index:
+                ops.append(DeltaOp.remove(f"churn_{index - 1}"))
+            outcome = apply_scene_delta(engine, current[0], ops)
+            current[0] = outcome.prepared
+    finally:
+        stop.set()
+        worker.join()
+        sys.setswitchinterval(interval)
+    assert not errors, errors

@@ -8,6 +8,13 @@ name table so every op is valid by construction, and deliberately
 include add-then-remove-the-same-declaration churn (the editor's
 keystroke-undo pattern), which must land back on previously prepared
 states and reuse them.
+
+Every intermediate scene is completed before the next edit, so each
+delta starts from a warm donor whose reconstruction memos carry over.
+The scripts mix edits that keep the succinct signature with edits that
+change it, and add declarations named in the binder namespace (``x0``,
+``x1``), so a carried candidate list that drew the wrong number of
+fresh names would show as a renamed lambda in the rankings.
 """
 
 from pathlib import Path
@@ -15,6 +22,7 @@ from pathlib import Path
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.environment import Environment
 from repro.engine import CompletionEngine
 from repro.incremental import apply_scene_delta, parse_delta_ops
 from repro.lang.loader import load_environment_file, load_environment_text
@@ -33,17 +41,23 @@ imported java.io.BufferedWriter.new : Writer -> BufferedWriter \
 [freq=95] [style=constructor] [display=BufferedWriter]
 imported java.io.PrintWriter.new : Writer -> PrintWriter \
 [freq=102] [style=constructor] [display=PrintWriter]
+imported java.io.PrintWriter.lazy : (String -> Writer) -> PrintWriter \
+[freq=300] [style=static_method] [display=lazy]
 literal "out.txt" : String
 goal PrintWriter
 """
 
 BASE_NAMES = ("path", "java.io.FileWriter.new", "java.io.BufferedWriter.new",
-              "java.io.PrintWriter.new", '"out.txt"')
+              "java.io.PrintWriter.new", "java.io.PrintWriter.lazy",
+              '"out.txt"')
 
 #: Candidate additions: (name, declaration line).  A mix of sigma images
-#: that already exist in the base scene and ones that do not.
+#: that already exist in the base scene (the signature is kept) and ones
+#: that do not (it changes), two of them named like fresh binders.
 ADDABLE = (
     ("banner", "local banner : String"),
+    ("x0", "local x0 : String"),
+    ("x1", "local x1 : String -> Writer"),
     ("backup_path", "local backup_path : String"),
     ("writer_cache", "local writer_cache : Writer"),
     ("java.io.FileReader.new",
@@ -110,6 +124,7 @@ def test_any_edit_script_matches_a_fresh_build(script):
     loaded = load_environment_text(BASE_SCENE)
     prepared = engine.prepare(loaded.environment, loaded.subtypes,
                               goal=loaded.goal, name="parity")
+    _rankings(engine, prepared)          # warm the first donor
     seen = {prepared.fingerprint: prepared}
     for batch in script:
         outcome = apply_scene_delta(engine, prepared,
@@ -119,7 +134,8 @@ def test_any_edit_script_matches_a_fresh_build(script):
             assert outcome.reused or outcome.prepared is prepared
         seen[outcome.prepared.fingerprint] = outcome.prepared
         prepared = outcome.prepared
-    _assert_parity(prepared, engine)
+        # Completing here warms the donor of the next delta.
+        _assert_parity(prepared, engine)
 
 
 @settings(max_examples=15, deadline=None)
@@ -165,3 +181,38 @@ def test_every_example_scene_holds_parity_under_edits():
             DeltaOp.remove(first_name),
         ])
         _assert_parity(outcome.prepared, engine)
+
+
+def test_table2_row_edits_from_a_warm_donor_match_a_fresh_engine():
+    """Row 9 (3,246 declarations) under a chain of edits, each from the
+    warm scene the previous completion left: the top 10 must equal a
+    fresh engine's over the same declarations.  The fresh side is built
+    from the declaration list, not from text: the serializer round trip
+    fails on Table 2 names such as ``java.net.DatagramSocket.new()``."""
+    from repro.bench.suite import BENCHMARKS, build_scene
+    from repro.incremental import DeltaOp
+
+    scene = build_scene(BENCHMARKS[8])
+    engine = CompletionEngine()
+    prepared = engine.prepare_scene(scene)
+    _rankings(engine, prepared, n=10)
+    script = [
+        DeltaOp.add("local parity_socket : DatagramSocket"),   # kept
+        DeltaOp.add("local x0 : int"),                         # kept
+        DeltaOp.remove("java.lang.Integer.MIN_VALUE"),         # kept
+        DeltaOp.add("local parity_only : ParityOnly"),         # changed
+        DeltaOp.remove("java.net.DatagramSocket.new()"),       # changed
+    ]
+    kept_any = False
+    for op in script:
+        outcome = apply_scene_delta(engine, prepared, [op])
+        assert not outcome.reused
+        kept_any = kept_any or outcome.recon_memo_kept > 0
+        prepared = outcome.prepared
+        fresh_engine = CompletionEngine()
+        fresh = fresh_engine.prepare(
+            Environment(tuple(prepared.base_environment)),
+            prepared.subtypes, goal=prepared.goal)
+        assert (_rankings(engine, prepared, n=10)
+                == _rankings(fresh_engine, fresh, n=10))
+    assert kept_any, "no delta carried a reconstruction memo"

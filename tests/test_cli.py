@@ -320,6 +320,20 @@ class TestBenchCommand:
         assert code == 0
         assert "top 10" in out
 
+    def test_csv_and_json_flags_write_the_rows(self, tmp_path, capsys):
+        import csv
+        import json
+
+        csv_path, json_path = tmp_path / "t2.csv", tmp_path / "t2.json"
+        code = main(["bench", "--rows", "9", "--variants", "full",
+                     "--repeats", "1", "--csv", str(csv_path),
+                     "--json", str(json_path)])
+        assert code == 0
+        with open(csv_path, encoding="utf-8") as handle:
+            rows = list(csv.DictReader(handle))
+        assert [row["number"] for row in rows] == ["9"]
+        assert json.loads(json_path.read_text())[0]["number"] == 9
+
 
 class TestStatsCommand:
     def test_unreachable_server_is_a_clean_error(self, capsys):
